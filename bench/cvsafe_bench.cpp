@@ -787,6 +787,8 @@ std::vector<Bench> build_registry() {
         });
   }});
 
+  // One op = 8 paper left-turn episodes through eval::run_batch — the
+  // fleet engine at 1 thread, so the pool holds exactly the op's 8 lanes.
   benches.push_back({"run_batch_episodes8", [](const Options& o) {
     const auto cfg = eval::SimConfig::paper_defaults();
     const auto bp = eval::make_nn_blueprint(
@@ -807,7 +809,8 @@ std::vector<Bench> build_registry() {
   // The frozen pre-engine left-turn loop on the identical workload —
   // the baseline of the engine-overhead gate
   //   legacy_left_turn_episodes8 : run_batch_episodes8
-  // in CI (per-step engine overhead must stay within a few percent).
+  // in CI (the 1-thread fleet engine, batched plan included, must stay
+  // within a few percent of the scalar one-episode-at-a-time loop).
   benches.push_back({"legacy_left_turn_episodes8", [](const Options& o) {
     const auto cfg = eval::SimConfig::paper_defaults();
     const auto bp = eval::make_nn_blueprint(
@@ -832,16 +835,19 @@ std::vector<Bench> build_registry() {
   // The fleet engine on the identical workload at three pool capacities,
   // at hardware concurrency (threads = 0) — the campaign deployment mode,
   // where work-stealing admission is the point. One op = 8 episodes
-  // (comparable to run_batch_episodes8, which is pinned at 1 thread); the
-  // whole batch runs as ONE fleet call so pool residency is real — under
-  // the growth loop n reaches thousands of episodes and the 8k pool keeps
-  // them all resident, which is exactly the mega-batched planning regime.
+  // (comparable to run_batch_episodes8, the same engine pinned at 1
+  // thread with an 8-lane pool); the whole batch runs as ONE fleet call
+  // so pool residency is real — under the growth loop n reaches
+  // thousands of episodes and the 8k pool keeps them all resident, which
+  // is exactly the mega-batched planning regime.
   // CI gates (same binary, same host, so machine-independent):
   //   parallel-speedup run_batch_episodes8 -> fleet_pool8k_episodes8 >= 1
-  //     (pooled path >= per-episode path per hardware thread; skipped on
-  //     1-thread runners, where it degenerates to serial-vs-serial), and
+  //     (a wide resident pool at hardware concurrency >= the 8-lane
+  //     1-thread batch per hardware thread; skipped on 1-thread runners,
+  //     where it degenerates to serial-vs-serial), and
   //   max-ratio fleet_pool64_episodes8 / run_batch_episodes8
-  //     (bounds single-thread pooling overhead; bites on 1-thread
+  //     (bounds what a 64-lane pool at hardware concurrency costs per
+  //     episode against the 8-lane 1-thread batch; bites on 1-thread
   //     runners where the parallel gate skips).
   // fleet_pool8k_episodes8 runs with the per-lane flight recorder ARMED
   // (rings live in every lane; eta samples, gate verdicts and message
@@ -876,7 +882,7 @@ std::vector<Bench> build_registry() {
       std::uint64_t seed = 1;
       return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
         const auto stats =
-            eval::run_batch_fleet(cfg, bp, 8 * n, seed, 0, pool_cap, sinks);
+            eval::run_batch(cfg, bp, 8 * n, seed, 0, pool_cap, sinks);
         g_sink = stats.mean_eta;
         seed += 8 * n;
       });
@@ -932,7 +938,7 @@ std::vector<Bench> build_registry() {
         pool.runner(lane).advance_begin(pool.accel(lane));
         pool.stage_lane(lane);
       }
-      pool.step_dynamics();
+      pool.step_dynamics_range(0, pool.active());
       pool.retire_and_refill(records);
       g_sink = pool.accel(0);
     };
@@ -1003,7 +1009,7 @@ std::vector<Bench> build_registry() {
         pool.runner(lane).advance_begin(pool.accel(lane));
         pool.stage_lane(lane);
       }
-      pool.step_dynamics();
+      pool.step_dynamics_range(0, pool.active());
       pool.retire_and_refill(records);
       g_sink = pool.accel(0);
     };

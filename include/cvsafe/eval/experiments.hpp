@@ -53,22 +53,12 @@ AgentBlueprint make_nn_blueprint(const SimConfig& config,
 SimConfig apply_setting(SimConfig base, CommSetting setting,
                         double sweep_value);
 
-/// Which batch machinery a table cell runs on. Both are byte-identical in
-/// output (stats, eta order); kFleet keeps planning batches wide across
-/// episode retirement and steals work between threads, so it is the
-/// default for campaign-scale cells.
-enum class BatchEngine {
-  kFleet,     ///< pooled fleet engine (sim/fleet.hpp)
-  kLockstep,  ///< PR-3 per-shard lockstep batching (run_left_turn_batch)
-};
-
 /// Runs a full table cell: a single batch for no-disturbance, or the
 /// seed-paired aggregation of sub-batches across the setting's sweep grid
 /// (total simulations ~ sims_total). Blueprint sensor configs are adjusted
 /// per sweep point automatically.
 BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
                        CommSetting setting, std::size_t sims_total,
-                       std::uint64_t base_seed = 1, std::size_t threads = 0,
-                       BatchEngine engine = BatchEngine::kFleet);
+                       std::uint64_t base_seed = 1, std::size_t threads = 0);
 
 }  // namespace cvsafe::eval

@@ -28,7 +28,7 @@
 /// is pinned by the engine's draw-order contract, triggers are evaluated
 /// from per-episode state only, and dumps are collected keyed by episode
 /// index and serialized in index order — so the dump bytes are identical
-/// across thread counts, pool sizes and fleet/reference engines.
+/// across thread counts and pool sizes.
 ///
 /// The emit path follows the recorder discipline exactly: callers guard
 /// with `ring_recording(ring)` (one pointer/flag test) and

@@ -23,18 +23,19 @@
 #include "cvsafe/vehicle/dynamics.hpp"
 
 /// \file fleet.hpp
-/// The fleet-scale campaign engine: a structure-of-arrays episode pool
-/// driving thousands of resident episodes step-synchronously per worker,
-/// with work-stealing admission and a mega-batched NN planning seam.
+/// The fleet-scale campaign engine — the one batch engine: a
+/// structure-of-arrays episode pool driving thousands of resident
+/// episodes per worker, with work-stealing admission and a mega-batched
+/// NN planning seam.
 ///
-/// Where run_episodes dispatches one episode per task and the PR-3
-/// lockstep runner advances one statically partitioned shard per worker,
-/// the fleet engine keeps a bounded pool of *resident* episodes per
-/// worker and refills finished lanes from a shared atomic episode
+/// Where run_episodes dispatches one episode per task (the per-episode
+/// oracle), the fleet engine keeps a bounded pool of *resident* episodes
+/// per worker and refills finished lanes from a shared atomic episode
 /// counter. Three consequences:
 ///
 ///  * planning batches stay wide for the whole campaign (a retiring
-///    episode is replaced immediately instead of the shard draining);
+///    episode is replaced at the next cohort round instead of the batch
+///    draining);
 ///  * imbalanced episode lengths steal work instead of idling a worker
 ///    (the atomic counter is the work-stealing deque, one episode at a
 ///    time);
@@ -45,13 +46,13 @@
 /// Determinism contract: the episode index -> seed map (seeding.hpp) is
 /// untouched — lanes are *slots*, the RNG stream belongs to the episode
 /// index claimed into the slot, so admission order cannot reorder any
-/// draw. Each episode's closed loop is bit-identical to run_episode /
-/// run_lockstep_shard (plan_batch is row-independent and bit-identical
-/// to plan(); step_batch is lane-wise bit-identical to step()). Records
-/// land at records[episode index], and every fold (BatchStats, metrics)
-/// runs serially in index order after the pool drains — so CSVs, eta
-/// sequences and metrics are byte-identical for 1, 4 or 7 threads, and
-/// byte-identical to the per-episode and lockstep paths.
+/// draw. Each episode's closed loop is bit-identical to run_episode
+/// (plan_batch is row-independent and bit-identical to plan();
+/// step_batch is lane-wise bit-identical to step()). Records land at
+/// records[episode index], and every fold (BatchStats, metrics) runs
+/// serially in index order after the pool drains — so CSVs, eta
+/// sequences and metrics are byte-identical for 1, 4 or 7 threads, any
+/// pool capacity, and byte-identical to run_episodes.
 
 namespace cvsafe::sim {
 
@@ -82,20 +83,12 @@ struct FleetConfig {
   std::size_t pool_capacity = 8192;
   std::size_t threads = 0;  ///< worker count, 0 = hardware concurrency
   SeedPolicy policy = SeedPolicy::kPaired;
-
-  /// Run the shard-step as fleet-wide batched sweeps (pump -> estimate
-  /// -> reach -> gate/ladder -> plan -> advance) over pool-resident SoA
-  /// stacks — engaged only for adapters promising the sweep
-  /// decomposition (ScenarioAdapter::fleet_sweeps). False selects the
-  /// reference per-lane loop; both paths are byte-identical (pinned by
-  /// tests/sim_fleet_sweeps_test).
-  bool batched_sweeps = true;
 };
 
 /// Wall-clock span accounting for the shard-step's sweep phases: one
 /// count + total-ns cell per phase, sampled cohort-granularly (one lap
-/// per phase per cohort step). The reference per-lane loop reports the
-/// coarse pump/plan/advance split only.
+/// per phase per cohort step). Adapters without the sweep decomposition
+/// report the coarse plan/advance split only.
 ///
 /// Spans measure *time*, so unlike every other fleet artifact they are
 /// scheduling-dependent — both the ns totals and (with work stealing)
@@ -310,24 +303,11 @@ class EpisodePool {
   double accel(std::size_t lane) const { return accel_[lane]; }
   void set_accel(std::size_t lane, double a) { accel_[lane] = a; }
 
-  /// Steps every active lane's ego through the shared saturating
-  /// dynamics in one SoA sweep, then commits the stepped states (traffic
-  /// advance + outcome classification) lane by lane. Call after every
-  /// lane's acceleration has been planned and advance_begin() has run.
-  void step_dynamics() {
-    if (active_ == 0) return;
-    const RunConfig& config = runners_[0]->config();
-    const vehicle::DoubleIntegrator dyn(config.ego_limits);
-    dyn.step_batch(ego_p_, ego_v_, accel_, config.dt_c, active_);
-    for (std::size_t lane = 0; lane < active_; ++lane) {
-      runners_[lane]->advance_commit(
-          vehicle::VehicleState{ego_p_[lane], ego_v_[lane]});
-    }
-  }
-
-  /// Subrange form of step_dynamics for the cohort-blocked batched path:
-  /// sweeps lanes [base, end) and commits only lanes still running. A
-  /// finished lane keeps riding in the SoA arrays until the
+  /// Steps lanes [base, end) through the shared saturating dynamics in
+  /// one SoA sweep, then commits the stepped states (traffic advance +
+  /// outcome classification) of the lanes still running. Call after
+  /// every live lane's acceleration has been planned and advance_begin()
+  /// has run. A finished lane keeps riding in the SoA arrays until the
   /// cohort-boundary retire scan; its mirror is dead state (records come
   /// from the runner's result, and stage_lane refreshes live lanes every
   /// step), so sweeping it is harmless and keeps the kernel contiguous.
@@ -453,18 +433,22 @@ class EpisodePool {
 
 namespace detail {
 
-/// One worker: drives its pool to exhaustion. Sequencing per shard-step
-/// mirrors run_lockstep_shard — observe every lane, split monitor-gated
-/// lanes from planner lanes, one batch_plan call over the pending worlds,
-/// then the split advance (bookkeeping, SoA dynamics sweep, commit) and
-/// retire/refill.
+/// One worker: drives its pool to exhaustion in cohort-blocked
+/// shard-steps. Each kSweepBlock-lane cohort runs kCohortSteps
+/// consecutive steps while its episode objects sit in L2, then the worker
+/// moves on; finished lanes retire and refill at the cohort-round
+/// boundary (a lane that finishes mid-block idles behind a done() check
+/// until then). Per step, a cohort is observed, the monitor-gated lanes
+/// are split from planner lanes, one batch_plan call covers the pending
+/// worlds, then the split advance (bookkeeping, SoA dynamics sweep,
+/// commit) runs.
 ///
-/// With \p batched_sweeps (adapter must promise fleet_sweeps()) the
-/// observe phase runs as sweeps over pool-resident SoA stacks instead of
-/// one full observe() per lane:
+/// The observe phase depends on the adapter. When it promises
+/// fleet_sweeps() the observe runs as sweeps over pool-resident SoA
+/// stacks instead of one full observe() per lane:
 ///
 ///   pump      every lane's channel offer + slab drain (RNG draws in
-///             lane order, exactly as the per-lane loop);
+///             lane order);
 ///   deliver   every lane's screened message absorption from the slab;
 ///   sense     every lane's sensor sample (second per-lane RNG draw),
 ///             staging Kalman readings;
@@ -474,16 +458,14 @@ namespace detail {
 ///             ReachSweep::run — the batched extrapolations feeding the
 ///             build/gate/ladder pass through their caches.
 ///
-/// The sweeps are cohort-blocked (kSweepBlock lanes x kCohortSteps
-/// steps, plan and advance included) so a cohort's episode state is
-/// loaded into L2 once per block instead of once per step — the
-/// cache-residency fix that keeps an 8k-resident pool at parity with a
-/// 64-lane one per episode.
+/// Otherwise each lane runs its full observe() fused with planning, and
+/// the spans report only the coarse plan/advance split.
 ///
-/// Every lane's op and RNG order within a step is untouched (messages
-/// before sensor, offer draw before sense draw); only cross-lane
-/// interleaving changes, and lanes are independent. Hence the sweeps are
-/// byte-identical to the reference loop below — pinned per sweep by
+/// Every lane's op and RNG order within a step is exactly run_episode's
+/// (messages before sensor, offer draw before sense draw); only
+/// cross-lane interleaving changes, and lanes are independent with
+/// records keyed by episode index. Hence every schedule is byte-identical
+/// to run_episodes — pinned by tests/sim_fleet_test and, per sweep, by
 /// tests/sim_fleet_sweeps_test.
 template <typename World>
 void run_fleet_worker(const ScenarioAdapter<World>& adapter,
@@ -491,13 +473,12 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
                       SeedPolicy policy,
                       std::atomic<std::size_t>& next_episode, std::size_t n,
                       const FleetBatchPlanner<World>& batch_plan,
-                      bool batched_sweeps,
                       std::span<FleetRecord> records,
                       const FleetObsSinks& sinks = {}) {
   // The context must outlive the pool: retiring runners release their
   // estimator/ladder slots into it.
   std::optional<FleetStackContext> ctx;
-  if (batched_sweeps) ctx.emplace();
+  if (adapter.fleet_sweeps()) ctx.emplace();
   EpisodePool<World> pool(adapter, lanes, base_seed, policy, next_episode,
                           n, ctx ? &*ctx : nullptr, sinks.dumps,
                           sinks.flight);
@@ -528,24 +509,15 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
 
   while (pool.active() > 0) {
     const std::size_t active = pool.active();
-    if (ctx) {
-      // Cohort-blocked shard-steps: each kSweepBlock-lane cohort runs
-      // kCohortSteps consecutive steps — sweeps, plan, advance — while
-      // its episode objects sit in L2, then the worker moves on (an
-      // untiled lockstep sweep reloads the whole cold pool from L3 once
-      // per step at 8k resident lanes). Lanes are independent and
-      // records are keyed by episode index, so cohort-major order
-      // changes no output byte (pinned by tests/sim_fleet_sweeps_test).
-      // A lane that finishes mid-block idles behind a done() check until
-      // the retire scan at the cohort boundary.
-      for (std::size_t base = 0; base < active; base += kSweepBlock) {
-        const std::size_t end = std::min(active, base + kSweepBlock);
-        for (std::size_t k = 0; k < kCohortSteps; ++k) {
-          worlds.clear();
-          pending.clear();
+    for (std::size_t base = 0; base < active; base += kSweepBlock) {
+      const std::size_t end = std::min(active, base + kSweepBlock);
+      for (std::size_t k = 0; k < kCohortSteps; ++k) {
+        worlds.clear();
+        pending.clear();
+        bool any_live = false;
+        lap_begin();
+        if (ctx) {
           ctx->slab.clear();
-          bool any_live = false;
-          lap_begin();
           for (std::size_t lane = base; lane < end; ++lane) {
             // Slab lanes are positional: open one per cohort lane (empty
             // for done lanes) so slab lane i maps to pool lane base + i
@@ -579,82 +551,50 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
           ctx->estimator.predict_batch();
           ctx->reach.run();
           lap(SweepSpans::kReachGate);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            EpisodeRunner<World>& runner = pool.runner(lane);
-            if (runner.done()) continue;
+        }
+        for (std::size_t lane = base; lane < end; ++lane) {
+          EpisodeRunner<World>& runner = pool.runner(lane);
+          if (runner.done()) continue;
+          any_live = true;
+          if (ctx) {
             runner.sweep_build();
-            if (batch_plan) {
-              if (const auto emergency = runner.monitor_gate()) {
-                pool.set_accel(lane, *emergency);
-              } else {
-                pending.push_back(lane);
-                worlds.push_back(runner.nn_world());
-              }
-            } else {
-              pool.set_accel(lane, runner.plan());
-            }
-          }
-          if (!pending.empty()) {
-            plans.resize(worlds.size());
-            batch_plan(worlds, plans);
-            for (std::size_t j = 0; j < pending.size(); ++j) {
-              pool.set_accel(pending[j], plans[j]);
-            }
-          }
-          lap(SweepSpans::kPlan);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            if (pool.runner(lane).done()) continue;
-            pool.runner(lane).advance_begin(pool.accel(lane));
-            pool.stage_lane(lane);
-          }
-          pool.step_dynamics_range(base, end);
-          lap(SweepSpans::kAdvance);
-        }
-      }
-      pool.retire_and_refill(records);
-    } else {
-      // Reference shard-step: one full per-lane observe at a time, the
-      // whole pool in lockstep, retire after every step.
-      worlds.clear();
-      pending.clear();
-      lap_begin();
-      for (std::size_t lane = 0; lane < active; ++lane) {
-        EpisodeRunner<World>& runner = pool.runner(lane);
-        runner.observe();
-        if (batch_plan) {
-          // Lockstep split: the monitor decides first; only lanes the
-          // monitor hands to the embedded planner join the batch.
-          if (const auto emergency = runner.monitor_gate()) {
-            pool.set_accel(lane, *emergency);
           } else {
-            pending.push_back(lane);
-            worlds.push_back(runner.nn_world());
+            runner.observe();
           }
-        } else {
-          // Generic path: full per-episode dispatch (exactly
-          // run_episode).
-          pool.set_accel(lane, runner.plan());
+          if (batch_plan) {
+            // The monitor decides first; only lanes it hands to the
+            // embedded planner join the batch.
+            if (const auto emergency = runner.monitor_gate()) {
+              pool.set_accel(lane, *emergency);
+            } else {
+              pending.push_back(lane);
+              worlds.push_back(runner.nn_world());
+            }
+          } else {
+            // Generic path: full per-episode dispatch (exactly
+            // run_episode).
+            pool.set_accel(lane, runner.plan());
+          }
         }
-      }
-      if (!pending.empty()) {
-        plans.resize(worlds.size());
-        batch_plan(worlds, plans);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-          pool.set_accel(pending[j], plans[j]);
+        if (!any_live) break;
+        if (!pending.empty()) {
+          plans.resize(worlds.size());
+          batch_plan(worlds, plans);
+          for (std::size_t j = 0; j < pending.size(); ++j) {
+            pool.set_accel(pending[j], plans[j]);
+          }
         }
+        lap(SweepSpans::kPlan);
+        for (std::size_t lane = base; lane < end; ++lane) {
+          if (pool.runner(lane).done()) continue;
+          pool.runner(lane).advance_begin(pool.accel(lane));
+          pool.stage_lane(lane);
+        }
+        pool.step_dynamics_range(base, end);
+        lap(SweepSpans::kAdvance);
       }
-      // The per-lane loop has no sweep decomposition; report the coarse
-      // observe+plan / advance split so reference-engine campaigns still
-      // carry a time breakdown.
-      lap(SweepSpans::kPlan);
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        pool.runner(lane).advance_begin(pool.accel(lane));
-        pool.stage_lane(lane);
-      }
-      pool.step_dynamics();
-      pool.retire_and_refill(records);
-      lap(SweepSpans::kAdvance);
     }
+    pool.retire_and_refill(records);
   }
   if (timed) sinks.spans->merge(local_spans);
 }
@@ -684,15 +624,11 @@ std::vector<FleetRecord> run_fleet_records(
   const std::size_t lanes = std::max<std::size_t>(1, resident / workers);
   std::atomic<std::size_t> next_episode{0};
   std::span<FleetRecord> out(records);
-  // Batched sweeps need the adapter's promise that every episode
-  // implements the sweep decomposition.
-  const bool batched_sweeps = config.batched_sweeps && adapter.fleet_sweeps();
   const auto worker_body = [&] {
     const FleetBatchPlanner<World> batch_plan =
         planner_factory ? planner_factory() : FleetBatchPlanner<World>{};
     detail::run_fleet_worker(adapter, lanes, base_seed, config.policy,
-                             next_episode, n, batch_plan, batched_sweeps,
-                             out, sinks);
+                             next_episode, n, batch_plan, out, sinks);
   };
   if (workers <= 1) {
     worker_body();

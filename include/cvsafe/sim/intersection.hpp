@@ -67,7 +67,7 @@ class IntersectionAdapter final
 RunResult run_intersection_simulation(const IntersectionSimConfig& config,
                                       bool use_compound, std::uint64_t seed);
 
-/// Parallel batch (seed-paired under the default policy).
+/// Batch on the fleet engine (seed-paired under the default policy).
 BatchStats run_intersection_batch(const IntersectionSimConfig& config,
                                   bool use_compound, std::size_t n,
                                   std::uint64_t base_seed = 1,

@@ -168,29 +168,16 @@ RunResult run_left_turn_simulation(const LeftTurnSimConfig& config,
                                    std::uint64_t seed,
                                    SimTrace* trace = nullptr);
 
-/// How run_left_turn_batch evaluates the NN planner across episodes.
-enum class BatchMode {
-  kAuto,        ///< lockstep when the blueprint is a single-network NN
-  kPerEpisode,  ///< one planner dispatch per episode per step
-  kLockstep,    ///< batched NN evaluation across in-flight episodes
-};
-
-/// Runs \p n simulations in parallel (CVSAFE_THREADS-controllable worker
-/// count, 0 = hardware). Under SeedPolicy::kPaired (the default) seeds
-/// are base_seed .. base_seed + n - 1, so two batches over the same seed
-/// range see *paired* workloads and disturbances.
-///
-/// Single-network NN blueprints are (under kAuto) evaluated in lockstep:
-/// each worker advances a shard of episodes step-synchronously and feeds
-/// all non-emergency worlds through one NnPlanner::plan_batch call per
-/// step — bit-identical to the per-episode path, since plan_batch is
-/// bit-identical to plan() and the monitor decision is factored out
-/// through CompoundPlanner::monitor_gate.
+/// Runs \p n simulations on the fleet engine (CVSAFE_THREADS-controllable
+/// worker count, 0 = hardware) and returns their aggregate. Under
+/// SeedPolicy::kPaired (the default) seeds are base_seed .. base_seed +
+/// n - 1, so two batches over the same seed range see *paired* workloads
+/// and disturbances. Equals run_left_turn_fleet(...).stats with the
+/// default pool, without the metrics fold.
 BatchStats run_left_turn_batch(const LeftTurnSimConfig& config,
                                const AgentBlueprint& blueprint,
                                std::size_t n, std::uint64_t base_seed = 1,
                                std::size_t threads = 0,
-                               BatchMode mode = BatchMode::kAuto,
                                SeedPolicy policy = SeedPolicy::kPaired);
 
 /// Runs \p n left-turn episodes through the fleet engine (fleet.hpp):
@@ -198,7 +185,7 @@ BatchStats run_left_turn_batch(const LeftTurnSimConfig& config,
 /// shared counter, and — for single-network NN blueprints — one
 /// mega-batched NnPlanner::plan_batch call per worker shard-step spanning
 /// every resident episode. Stats and metrics are byte-identical to
-/// run_left_turn_batch over the same seeds for any thread count or pool
+/// run_episodes over the same seeds for any thread count or pool
 /// capacity (pinned by tests/sim_fleet_test).
 FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
                                 const AgentBlueprint& blueprint,

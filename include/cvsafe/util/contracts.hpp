@@ -20,7 +20,10 @@
 /// The message argument is optional. Checks are active in every build type
 /// (Release included — the guarantee matters most in production) unless the
 /// translation unit is compiled with -DCVSAFE_NO_CONTRACTS, which compiles
-/// every check out to `(void)0` with zero residual cost.
+/// every check out to `(void)sizeof(!(cond))` with zero residual cost: the
+/// condition stays an unevaluated operand, so it is still type-checked and
+/// still counts as a use of the names it mentions (no unused-variable
+/// warnings in contracts-off -Werror builds), but it never runs.
 ///
 /// A violated contract aborts by default (printing kind, condition, file
 /// and line to stderr). Tests — and hosts that prefer to contain failures —
@@ -75,7 +78,8 @@ namespace detail {
 
 #if defined(CVSAFE_NO_CONTRACTS)
 
-#define CVSAFE_DETAIL_CONTRACT(kind, cond, ...) static_cast<void>(0)
+#define CVSAFE_DETAIL_CONTRACT(kind, cond, ...) \
+  static_cast<void>(sizeof(!(cond)))
 
 #else
 

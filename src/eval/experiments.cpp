@@ -84,8 +84,7 @@ SimConfig apply_setting(SimConfig base, CommSetting setting,
 
 BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
                        CommSetting setting, std::size_t sims_total,
-                       std::uint64_t base_seed, std::size_t threads,
-                       BatchEngine engine) {
+                       std::uint64_t base_seed, std::size_t threads) {
   assert(sims_total > 0);
   std::vector<double> grid;
   switch (setting) {
@@ -116,9 +115,7 @@ BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
         base_seed,
         (static_cast<std::uint64_t>(setting) << 32) |
             static_cast<std::uint64_t>(gi));
-    total.merge(engine == BatchEngine::kFleet
-                    ? run_batch_fleet(cfg, bp, per_point, point_base, threads)
-                    : run_batch(cfg, bp, per_point, point_base, threads));
+    total.merge(run_batch(cfg, bp, per_point, point_base, threads));
   }
   return total;
 }

@@ -1,11 +1,10 @@
-// Batched-sweep equivalence: FleetConfig::batched_sweeps selects between
-// the five-sweep shard-step (pump -> estimate -> reach -> gate/ladder ->
-// plan -> advance over pool-resident SoA stacks) and the per-lane
-// reference loop. The two paths must be byte-identical — same seed-ordered
-// records, same BatchStats (eta order included), same metrics text — for
-// every agent variant, worker count and pool capacity. The reference loop
-// is itself pinned against the per-episode engine by sim_fleet_test, so
-// this suite closes the chain batched == reference == per-episode.
+// Batched-sweep equivalence: for adapters promising fleet_sweeps() the
+// fleet engine runs the observe phase as five sweeps (pump -> deliver ->
+// sense/estimate -> reach -> gate/ladder, then plan -> advance over
+// pool-resident SoA stacks). The swept engine must be byte-identical to
+// the per-episode oracle sim::run_episodes — same seed-ordered records,
+// same BatchStats (eta order included), same metrics text — for every
+// agent variant, worker count and pool capacity.
 //
 // Registered in tests/CMakeLists.txt and therefore also in the tsan CTest
 // preset: CI races the batched sweeps at 1/4/7 worker threads under
@@ -24,6 +23,7 @@
 #include "cvsafe/sim/engine.hpp"
 #include "cvsafe/sim/fleet.hpp"
 #include "cvsafe/sim/left_turn.hpp"
+#include "cvsafe/sim/obs_summary.hpp"
 
 namespace {
 
@@ -40,6 +40,19 @@ sim::AgentBlueprint nn_blueprint(const sim::LeftTurnSimConfig& cfg,
   bp.sensor = cfg.sensor;
   bp.config = agent;
   return bp;
+}
+
+/// The per-episode oracle's records of \p n left-turn episodes.
+std::vector<sim::FleetRecord> per_episode_records(
+    const sim::LeftTurnSimConfig& cfg, const sim::AgentBlueprint& bp,
+    std::size_t n, std::uint64_t base_seed) {
+  const sim::LeftTurnAdapter adapter(cfg, bp);
+  std::vector<sim::FleetRecord> records;
+  for (const sim::RunResult& r :
+       sim::run_episodes(adapter, n, base_seed, /*threads=*/2)) {
+    records.push_back(sim::record_from_result(r));
+  }
+  return records;
 }
 
 void expect_records_equal(const std::vector<sim::FleetRecord>& a,
@@ -85,12 +98,7 @@ TEST(SimFleetSweeps, BatchedMatchesReferenceAcrossVariantsThreadsAndPools) {
   for (const auto& agent : sweep_variants()) {
     const auto bp = nn_blueprint(cfg, agent);
 
-    sim::FleetConfig ref;
-    ref.pool_capacity = 12;
-    ref.threads = 2;
-    ref.batched_sweeps = false;
-    const auto reference =
-        sim::run_left_turn_fleet_records(cfg, bp, 12, 901, ref);
+    const auto reference = per_episode_records(cfg, bp, 12, 901);
 
     for (const std::size_t threads : {1u, 4u, 7u}) {
       // Pool 3 forces compact/refill churn through the SoA slot free
@@ -99,7 +107,6 @@ TEST(SimFleetSweeps, BatchedMatchesReferenceAcrossVariantsThreadsAndPools) {
         sim::FleetConfig fc;
         fc.pool_capacity = pool;
         fc.threads = threads;
-        fc.batched_sweeps = true;
         const auto batched =
             sim::run_left_turn_fleet_records(cfg, bp, 12, 901, fc);
         SCOPED_TRACE(::testing::Message()
@@ -119,15 +126,15 @@ TEST(SimFleetSweeps, StatsAndMetricsByteIdentical) {
   agent.ladder = core::LadderConfig{};
   const auto bp = nn_blueprint(cfg, agent);
 
-  sim::FleetConfig ref;
-  ref.threads = 2;
-  ref.batched_sweeps = false;
-  const auto reference = sim::run_left_turn_fleet(cfg, bp, 10, 902, ref);
+  const sim::LeftTurnAdapter adapter(cfg, bp);
+  const auto results = sim::run_episodes(adapter, 10, 902, /*threads=*/2);
+  sim::FleetResult reference;
+  reference.stats = sim::BatchStats::from_results(results);
+  sim::collect_metrics(reference.metrics, results);
 
   for (const std::size_t threads : {1u, 4u, 7u}) {
     sim::FleetConfig fc;
     fc.threads = threads;
-    fc.batched_sweeps = true;
     const auto batched = sim::run_left_turn_fleet(cfg, bp, 10, 902, fc);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     EXPECT_EQ(batched.stats.n, reference.stats.n);

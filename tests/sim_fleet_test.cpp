@@ -1,9 +1,10 @@
-// Fleet engine equivalence: the pooled SoA engine (sim/fleet.hpp) must be
-// byte-identical to the per-episode and lockstep paths — same stats, same
-// seed-aligned eta order, same metrics text — for any worker count or
-// pool capacity. This is the contract that lets run_setting and the fault
-// campaign default to the fleet engine; the throughput path is only
-// allowed to exist because this test holds.
+// Fleet engine equivalence: the pooled SoA engine (sim/fleet.hpp) — the
+// only batch engine — must be byte-identical to the per-episode oracle
+// sim::run_episodes — same stats, same seed-aligned eta order, same
+// metrics text — for any worker count or pool capacity. This is the
+// contract that lets every batch, table cell and fault campaign run on
+// the fleet engine; the throughput path is only allowed to exist because
+// this test holds.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/sim/obs_summary.hpp"
+#include "cvsafe/util/rng.hpp"
 
 namespace {
 
@@ -62,6 +64,15 @@ void expect_records_match_results(
   }
 }
 
+/// The per-episode oracle's aggregate of \p n left-turn episodes.
+sim::BatchStats per_episode_stats(const sim::LeftTurnSimConfig& cfg,
+                                  const sim::AgentBlueprint& bp,
+                                  std::size_t n, std::uint64_t base_seed) {
+  const sim::LeftTurnAdapter adapter(cfg, bp);
+  return sim::BatchStats::from_results(
+      sim::run_episodes(adapter, n, base_seed, /*threads=*/2));
+}
+
 sim::AgentBlueprint nn_blueprint(const sim::LeftTurnSimConfig& cfg,
                                  sim::AgentConfig agent) {
   util::Rng net_rng(42);
@@ -83,9 +94,11 @@ TEST(SimFleet, MatchesPerEpisodeAcrossVariantsThreadsAndPools) {
                             sim::AgentConfig::basic_compound(),
                             sim::AgentConfig::ultimate_compound()}) {
     const auto bp = nn_blueprint(cfg, agent);
-    const auto baseline = sim::run_left_turn_batch(
-        cfg, bp, /*n=*/12, /*base_seed=*/601, /*threads=*/2,
-        sim::BatchMode::kPerEpisode);
+    // Single-network NN stacks batch kappa_n across lanes (monitor gate
+    // split from one plan_batch call per cohort step); plan_batch is
+    // row-independent and bit-identical to plan().
+    const auto baseline =
+        per_episode_stats(cfg, bp, /*n=*/12, /*base_seed=*/601);
     for (const std::size_t threads : {1u, 4u, 7u}) {
       // Pool smaller than the batch forces compact/refill churn; pool
       // larger than the batch exercises the everything-resident path.
@@ -128,30 +141,42 @@ TEST(SimFleet, MetricsFoldMatchesPerEpisodePath) {
 }
 
 TEST(SimFleet, GenericScenariosMatchRunEpisodes) {
-  // Non-left-turn adapters take the generic (per-episode planner) path of
-  // the fleet worker; records must match run_episodes field for field
-  // under the campaign's kDerived seed policy.
-  sim::FleetConfig fc;
-  fc.threads = 4;
-  fc.policy = sim::SeedPolicy::kDerived;
+  // Non-left-turn adapters have no sweep decomposition: the fleet worker
+  // runs each lane's full observe() and per-episode planner dispatch,
+  // cohort-blocked. Records must match run_episodes field for field under
+  // the campaign's kDerived seed policy, for every worker count and pool
+  // capacity. Pool 3 is smaller than every batch, so lanes retire and
+  // refill at cohort-round boundaries.
+  const auto check = [](const auto& adapter, std::size_t n,
+                        std::uint64_t base_seed) {
+    const auto results = sim::run_episodes(adapter, n, base_seed, 2,
+                                           sim::SeedPolicy::kDerived);
+    for (const std::size_t threads : {1u, 4u, 7u}) {
+      for (const std::size_t pool : {3u, 64u, 8192u}) {
+        sim::FleetConfig fc;
+        fc.threads = threads;
+        fc.pool_capacity = pool;
+        fc.policy = sim::SeedPolicy::kDerived;
+        SCOPED_TRACE(::testing::Message()
+                     << adapter.name() << " threads=" << threads
+                     << " pool=" << pool);
+        expect_records_match_results(
+            sim::run_fleet_records(adapter, n, base_seed, fc), results);
+      }
+    }
+  };
 
   {
     sim::LaneChangeSimConfig cfg;
     cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
     const sim::LaneChangeAdapter adapter(cfg, sim::LaneChangePlannerConfig{});
-    const auto results = sim::run_episodes(adapter, 6, 811, 2,
-                                           sim::SeedPolicy::kDerived);
-    const auto records = sim::run_fleet_records(adapter, 6, 811, fc);
-    expect_records_match_results(records, results);
+    check(adapter, 6, 811);
   }
   {
     sim::IntersectionSimConfig cfg;
     cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
     const sim::IntersectionAdapter adapter(cfg, /*use_compound=*/true);
-    const auto results = sim::run_episodes(adapter, 6, 812, 2,
-                                           sim::SeedPolicy::kDerived);
-    const auto records = sim::run_fleet_records(adapter, 6, 812, fc);
-    expect_records_match_results(records, results);
+    check(adapter, 6, 812);
   }
   {
     sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
@@ -160,17 +185,14 @@ TEST(SimFleet, GenericScenariosMatchRunEpisodes) {
     setup.scenario = cfg.make_scenario();  // net == nullptr -> expert
     const sim::MultiVehicleAdapter adapter(cfg, sim::MultiVehicleConfig{},
                                            setup);
-    const auto results = sim::run_episodes(adapter, 4, 813, 2,
-                                           sim::SeedPolicy::kDerived);
-    const auto records = sim::run_fleet_records(adapter, 4, 813, fc);
-    expect_records_match_results(records, results);
+    check(adapter, 4, 813);
   }
 }
 
 TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
-  // A non-lockstep-eligible left-turn blueprint (expert planner) must run
-  // the plan()-only path — monitor_gate must NOT be queried separately,
-  // or the monitor would run twice per step and diverge.
+  // A left-turn blueprint whose kappa_n cannot batch (expert planner)
+  // must run the plan()-only path — monitor_gate must NOT be queried
+  // separately, or the monitor would run twice per step and diverge.
   sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
   cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
   sim::AgentBlueprint bp;
@@ -180,8 +202,7 @@ TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
   bp.config = sim::AgentConfig::ultimate_compound();
   bp.config.use_expert_planner = true;
 
-  const auto per_episode = sim::run_left_turn_batch(
-      cfg, bp, 8, 801, /*threads=*/2, sim::BatchMode::kPerEpisode);
+  const auto per_episode = per_episode_stats(cfg, bp, 8, 801);
   sim::FleetConfig fc;
   fc.threads = 3;
   const auto fleet = sim::run_left_turn_fleet(cfg, bp, 8, 801, fc);
@@ -189,19 +210,32 @@ TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
 }
 
 TEST(SimFleet, RunSettingEnginesAreByteIdentical) {
-  // The table-cell runner must produce the same merged stats (and the
-  // same eta order) on the fleet engine as on the lockstep engine.
+  // The table-cell runner (fleet engine) must produce the same merged
+  // stats — and the same eta order — as the per-episode oracle run point
+  // by point over the setting's grid and merged in grid order.
   eval::SimConfig cfg = eval::SimConfig::paper_defaults();
   cfg.horizon = 20.0;
   const auto bp = nn_blueprint(cfg, sim::AgentConfig::ultimate_compound());
+  constexpr std::size_t kSims = 20;
+  constexpr std::uint64_t kBaseSeed = 1;
+  const auto setting = eval::CommSetting::kDelayed;
 
-  const auto fleet =
-      eval::run_setting(cfg, bp, eval::CommSetting::kDelayed, 20, 1, 2,
-                        eval::BatchEngine::kFleet);
-  const auto lockstep =
-      eval::run_setting(cfg, bp, eval::CommSetting::kDelayed, 20, 1, 2,
-                        eval::BatchEngine::kLockstep);
-  expect_stats_equal(fleet, lockstep);
+  const auto fleet = eval::run_setting(cfg, bp, setting, kSims, kBaseSeed,
+                                       /*threads=*/2);
+
+  const std::vector<double> grid = eval::drop_prob_grid();
+  const std::size_t per_point = (kSims + grid.size() - 1) / grid.size();
+  sim::BatchStats expected;
+  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    const eval::SimConfig point = eval::apply_setting(cfg, setting, grid[gi]);
+    sim::AgentBlueprint point_bp = bp;
+    point_bp.sensor = point.sensor;
+    const std::uint64_t point_base = util::derive_seed(
+        kBaseSeed, (static_cast<std::uint64_t>(setting) << 32) |
+                       static_cast<std::uint64_t>(gi));
+    expected.merge(per_episode_stats(point, point_bp, per_point, point_base));
+  }
+  expect_stats_equal(fleet, expected);
 }
 
 // --- Fold determinism (shard-merge invariance) ---------------------------

@@ -17,9 +17,9 @@
 /// The flight recorder's fleet-level determinism contract: a hardened
 /// campaign cell with recorders armed produces at least one triggered
 /// dump, and the dump bytes (and the deterministic telemetry fold) are
-/// identical across thread counts, pool capacities and the batched /
-/// reference engines. Also covers the campaign-level CampaignObs wiring
-/// and the adversarial-search metrics satellite.
+/// identical across thread counts and pool capacities. Also covers the
+/// campaign-level CampaignObs wiring and the adversarial-search metrics
+/// satellite.
 
 namespace {
 
@@ -56,14 +56,12 @@ sim::AgentBlueprint hardened_blueprint(const sim::LeftTurnSimConfig& config) {
 /// Runs the hardened cell on the fleet engine with recorders armed and
 /// returns {dump JSONL, deterministic telemetry text}.
 std::pair<std::string, std::string> run_armed(std::size_t threads,
-                                              std::size_t pool,
-                                              bool batched_sweeps) {
+                                              std::size_t pool) {
   const sim::LeftTurnSimConfig config = hardened_config();
   const sim::AgentBlueprint bp = hardened_blueprint(config);
   sim::FleetConfig fleet;
   fleet.threads = threads;
   fleet.pool_capacity = pool;
-  fleet.batched_sweeps = batched_sweeps;
   fleet.policy = sim::SeedPolicy::kDerived;
   obs::FlightDumpCollector dumps;
   sim::FleetObsSinks sinks;
@@ -82,7 +80,7 @@ std::pair<std::string, std::string> run_armed(std::size_t threads,
 
 TEST(FlightRecorderFleet, DumpsAreByteIdenticalAcrossEngineShapes) {
   const auto [baseline_jsonl, baseline_telemetry] =
-      run_armed(/*threads=*/1, /*pool=*/8192, /*batched_sweeps=*/true);
+      run_armed(/*threads=*/1, /*pool=*/8192);
   ASSERT_FALSE(baseline_jsonl.empty())
       << "the hardened corruption cell must trip at least one dump";
   EXPECT_NE(baseline_jsonl.find("\"flight\""), std::string::npos);
@@ -92,15 +90,11 @@ TEST(FlightRecorderFleet, DumpsAreByteIdenticalAcrossEngineShapes) {
                                     std::size_t{7}}) {
     for (const std::size_t pool : {std::size_t{3}, std::size_t{64},
                                    std::size_t{8192}}) {
-      for (const bool batched : {true, false}) {
-        const auto [jsonl, telemetry] = run_armed(threads, pool, batched);
-        EXPECT_EQ(jsonl, baseline_jsonl)
-            << "threads=" << threads << " pool=" << pool
-            << " batched=" << batched;
-        EXPECT_EQ(telemetry, baseline_telemetry)
-            << "threads=" << threads << " pool=" << pool
-            << " batched=" << batched;
-      }
+      const auto [jsonl, telemetry] = run_armed(threads, pool);
+      EXPECT_EQ(jsonl, baseline_jsonl)
+          << "threads=" << threads << " pool=" << pool;
+      EXPECT_EQ(telemetry, baseline_telemetry)
+          << "threads=" << threads << " pool=" << pool;
     }
   }
 }

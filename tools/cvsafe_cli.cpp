@@ -29,12 +29,9 @@
 //   --seed N                 first seed                  (default 1)
 //   --sims N                 batch size / training size scale
 //   --threads N              worker threads (0 = hardware)
-//   --engine fleet|lockstep|episode
-//                            (batch, left-turn) batch machinery: pooled
-//                            fleet engine (default), PR-3 lockstep shards,
-//                            or one planner dispatch per episode — all
-//                            byte-identical in output
-//   --pool N                 (batch) fleet pool capacity  (default 8192)
+//   --pool N                 (batch, left-turn) fleet pool capacity
+//                            (default 8192); output is byte-identical
+//                            for every capacity
 //   --trace FILE             (run) per-step trace: structured JSONL event
 //                            trace when FILE ends in .jsonl, legacy CSV
 //                            otherwise; (campaign) structured JSONL trace
@@ -48,15 +45,15 @@
 //   --profile FILE           (run) Chrome trace-event JSON of the hot-path
 //                            profiling spans (open in Perfetto)
 //   --out DIR|FILE           (train) output directory; (campaign) CSV path
-//   --flight-recorder FILE   (batch left-turn fleet engine / campaign /
-//                            attack) arm a per-lane flight recorder ring;
-//                            triggered episode dumps (min-eta below
-//                            threshold, EMERGENCY entry, unsafe-set entry,
-//                            rejection burst) append to FILE as JSONL,
-//                            byte-identical across thread counts, pool
-//                            sizes and engines. attack re-runs each
-//                            reported offender with the recorder armed.
-//   --telemetry FILE         (batch left-turn fleet engine / campaign)
+//   --flight-recorder FILE   (batch left-turn / campaign / attack) arm a
+//                            per-lane flight recorder ring; triggered
+//                            episode dumps (min-eta below threshold,
+//                            EMERGENCY entry, unsafe-set entry, rejection
+//                            burst) append to FILE as JSONL, byte-identical
+//                            across thread counts and pool sizes. attack
+//                            re-runs each reported offender with the
+//                            recorder armed.
+//   --telemetry FILE         (batch left-turn / campaign)
 //                            deterministic fleet telemetry (min-eta
 //                            histogram, per-reason rejections, ladder
 //                            occupancy, episode residency): CSV when FILE
@@ -490,61 +487,38 @@ int cmd_batch(const Args& args) {
   const auto n = static_cast<std::size_t>(args.number("sims", 500));
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
   const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const std::string engine = args.value("engine", "fleet");
   const auto pool = static_cast<std::size_t>(args.number("pool", 8192));
   const bool want_flight = args.values.count("flight-recorder") > 0;
   const bool want_telemetry = args.values.count("telemetry") > 0;
-  if ((want_flight || want_telemetry) && engine != "fleet") {
-    std::fprintf(stderr,
-                 "--flight-recorder/--telemetry require --engine fleet\n");
-    return 2;
-  }
 
-  eval::BatchStats stats;
-  if (engine == "fleet") {
-    if (want_flight || want_telemetry) {
-      // Observability-armed path: keep the records so the deterministic
-      // telemetry fold can walk them in episode order.
-      obs::FlightDumpCollector dumps;
-      sim::SweepSpanSink spans;
-      sim::FleetObsSinks sinks;
-      if (want_flight) sinks.dumps = &dumps;
-      if (want_telemetry) sinks.spans = &spans;
-      sim::FleetConfig fleet;
-      fleet.threads = threads;
-      fleet.pool_capacity = pool;
-      const std::vector<sim::FleetRecord> records =
-          sim::run_left_turn_fleet_records(config, bp, n, seed, fleet,
-                                           sinks);
-      stats = sim::stats_from_records(records);
-      if (want_flight &&
-          !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
-                              dumps, "left-turn", config.comm.label())) {
-        return 1;
-      }
-      if (want_telemetry) {
-        obs::MetricsRegistry reg;
-        sim::collect_fleet_telemetry(
-            reg, std::span<const sim::FleetRecord>(records));
-        const std::string path = args.value("telemetry", "telemetry.prom");
-        if (!dump_metrics(reg, path)) return 1;
-        if (!dump_spans(spans, path)) return 1;
-      }
-    } else {
-      stats = eval::run_batch_fleet(config, bp, n, seed, threads, pool);
-    }
-  } else if (engine == "lockstep") {
-    stats = eval::run_batch(config, bp, n, seed, threads);
-  } else if (engine == "episode") {
-    stats = sim::run_left_turn_batch(config, bp, n, seed, threads,
-                                     sim::BatchMode::kPerEpisode);
-  } else {
-    std::fprintf(stderr, "unknown --engine %s (fleet|lockstep|episode)\n",
-                 engine.c_str());
+  // Unarmed sinks stay null, so the plain batch reads no clock and arms
+  // no ring; the records are kept so the deterministic telemetry fold can
+  // walk them in episode order.
+  obs::FlightDumpCollector dumps;
+  sim::SweepSpanSink spans;
+  sim::FleetObsSinks sinks;
+  if (want_flight) sinks.dumps = &dumps;
+  if (want_telemetry) sinks.spans = &spans;
+  sim::FleetConfig fleet;
+  fleet.threads = threads;
+  fleet.pool_capacity = pool;
+  const std::vector<sim::FleetRecord> records =
+      sim::run_left_turn_fleet_records(config, bp, n, seed, fleet, sinks);
+  if (want_flight &&
+      !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
+                          dumps, "left-turn", config.comm.label())) {
     return 1;
   }
+  if (want_telemetry) {
+    obs::MetricsRegistry reg;
+    sim::collect_fleet_telemetry(reg,
+                                 std::span<const sim::FleetRecord>(records));
+    const std::string path = args.value("telemetry", "telemetry.prom");
+    if (!dump_metrics(reg, path)) return 1;
+    if (!dump_spans(spans, path)) return 1;
+  }
   return print_stats("batch: " + bp.name + " under " + config.comm.label(),
-                     stats);
+                     sim::stats_from_records(records));
 }
 
 int cmd_train(const Args& args) {
